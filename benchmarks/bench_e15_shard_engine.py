@@ -1,6 +1,6 @@
 """E15 — persistent sharded scatter-gather engine vs per-call spin-up.
 
-``shard="rows"`` splits the fitted data row-wise across worker
+``workers=N`` splits the fitted data row-wise across worker
 processes that attach to ``multiprocessing.shared_memory`` segments, so
 batches ship only subspace masks and query rows over the pipes — the
 wire volume is independent of n. Because OD is additive over data
@@ -43,11 +43,11 @@ def test_benchmark_shard_pool_warm(benchmark):
     the per-fit cache so it measures a cold batch over a warm pool.
     """
     miner, targets = small_batch_setup()
-    miner.query_batch(targets, workers=2, shard="rows")  # spin up, unmeasured
+    miner.query_batch(targets, workers=2)  # spin up, unmeasured
 
     def run():
         miner.od_cache_.invalidate()
-        return miner.query_batch(targets, workers=2, shard="rows")
+        return miner.query_batch(targets, workers=2)
 
     result = benchmark(run)
     miner.close()
@@ -63,7 +63,7 @@ def test_benchmark_shard_pool_percall(benchmark):
     def run():
         miner.close()
         miner.od_cache_.invalidate()
-        return miner.query_batch(targets, workers=2, shard="rows")
+        return miner.query_batch(targets, workers=2)
 
     result = benchmark(run)
     miner.close()

@@ -44,11 +44,11 @@ def test_benchmark_fault_free_pool(benchmark):
     supervised pool (deadlines armed, nothing injected)."""
     with fault_env(None):
         miner, targets = small_batch_setup(timeout_s=5.0, backoff_s=0.01)
-        miner.query_batch(targets, workers=2, shard="rows")  # spin up, unmeasured
+        miner.query_batch(targets, workers=2)  # spin up, unmeasured
 
         def run():
             miner.od_cache_.invalidate()
-            return miner.query_batch(targets, workers=2, shard="rows")
+            return miner.query_batch(targets, workers=2)
 
         result = benchmark(run)
         miner.close()
@@ -65,7 +65,7 @@ def test_benchmark_crash_recovery(benchmark):
         def run():
             miner.close()  # fresh pool: the gen-0 fault re-fires
             miner.od_cache_.invalidate()
-            return miner.query_batch(targets, workers=2, shard="rows")
+            return miner.query_batch(targets, workers=2)
 
         result = benchmark(run)
         miner.close()

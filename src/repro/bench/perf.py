@@ -474,17 +474,17 @@ def run_shard_cell(n: int, d: int, m: int, workers: int = 4, reps: int = 3) -> d
         miner.close()  # next call re-pays pool spin-up inside the timer
         miner.od_cache_.invalidate()
         start = time.perf_counter()
-        miner.query_batch(targets, workers=workers, shard="rows")
+        miner.query_batch(targets, workers=workers)
         percall_times.append(time.perf_counter() - start)
 
     miner.close()
     miner.od_cache_.invalidate()
-    miner.query_batch(targets, workers=workers, shard="rows")  # spin up, unmeasured
+    miner.query_batch(targets, workers=workers)  # spin up, unmeasured
     warm_times = []
     for _ in range(reps):
         miner.od_cache_.invalidate()
         start = time.perf_counter()
-        warm = miner.query_batch(targets, workers=workers, shard="rows")
+        warm = miner.query_batch(targets, workers=workers)
         warm_times.append(time.perf_counter() - start)
     miner.close()
 
@@ -635,7 +635,7 @@ def run_fault_cell(
             miner.od_cache_.invalidate()
             with fault_env(spec or ""):
                 start = time.perf_counter()
-                result = miner.query_batch(targets, workers=workers, shard="rows")
+                result = miner.query_batch(targets, workers=workers)
                 times.append(time.perf_counter() - start)
         wall[arm] = min(times)
         stats[arm] = result.stats
@@ -793,7 +793,7 @@ def run_stream_cell(
 
     def query(serving, targets):
         if workers > 1:
-            return serving.query_batch(targets, workers=workers, shard="rows")
+            return serving.query_batch(targets, workers=workers)
         return serving.query_batch(targets)
 
     stream_times: list[float] = []

@@ -14,9 +14,9 @@ Subcommands
 ``batch``
     Fit on a CSV file and answer many queries at once through the
     batched multi-query engine — rows of the fitted dataset, the rows
-    of a second query CSV, or both; ``--workers``/``--shard`` fan the
-    batch out to worker processes (persistent shared-memory row shards
-    by default, whole-query splitting with ``--shard queries``).
+    of a second query CSV, or both; ``--workers`` fans the batch out
+    over a persistent pool of worker processes holding shared-memory
+    row shards of the data.
 ``stream``
     Replay a synthetic drift or burst workload through the sliding-
     window streaming engine: fit once on a warm-up window, then push
@@ -112,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "near the threshold; answer sets are identical at any setting",
     )
     query.add_argument(
-        "--topk-kernel", choices=["auto", "partition", "filter", "numba"],
-        default="auto",
-        help="post-GEMM top-k selection kernel (auto prefers the compiled "
-        "numba kernel when installed; all kernels are value-identical)",
-    )
-    query.add_argument(
         "--sample-size", type=int, default=10, help="learning sample size S (default 10)"
     )
     query.add_argument(
@@ -168,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "environment variable, else 1 = in-process)",
     )
     batch.add_argument(
-        "--shard", choices=["rows", "queries"], default=None,
-        help="multi-worker strategy: rows (default) scatters each work unit "
-        "over a persistent shared-memory shard pool, queries splits the "
-        "batch across full miner copies; answers are identical either way",
-    )
-    batch.add_argument(
         "--timeout-s", type=float, default=None,
         help="reply deadline per shard round in seconds (default: the "
         "HOSMINER_TIMEOUT_S environment variable, else 30; <= 0 disables "
@@ -214,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="GEMM precision tier: auto (default) runs the level product in "
         "float32 under the GEMM kernel with exact float64 re-verification "
         "near the threshold; answer sets are identical at any setting",
-    )
-    batch.add_argument(
-        "--topk-kernel", choices=["auto", "partition", "filter", "numba"],
-        default="auto",
-        help="post-GEMM top-k selection kernel (auto prefers the compiled "
-        "numba kernel when installed; all kernels are value-identical)",
     )
     batch.add_argument(
         "--sample-size", type=int, default=10, help="learning sample size S (default 10)"
@@ -415,7 +397,6 @@ def _run_query(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         kernel=args.kernel,
         precision=args.precision,
-        topk_kernel=args.topk_kernel,
     ).fit(X, feature_names=dataset.feature_names)
     print(f"fitted on {dataset.n} rows x {dataset.d} columns; T = {miner.threshold_:.4g}")
     for row in args.row:
@@ -473,7 +454,6 @@ def _run_batch(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         kernel=args.kernel,
         precision=args.precision,
-        topk_kernel=args.topk_kernel,
         **supervision,
     ).fit(X, feature_names=dataset.feature_names)
     print(
@@ -502,7 +482,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     if not targets:
         raise HOSMinerError("nothing to query: pass --queries, --rows or --all-rows")
 
-    result = miner.query_batch(targets, workers=args.workers, shard=args.shard)
+    result = miner.query_batch(targets, workers=args.workers)
     miner.close()
     print(result.summary())
     if args.explain:

@@ -17,6 +17,7 @@ from repro.core.batch import BatchQueryEngine
 from repro.core.config import HOSMinerConfig
 from repro.core.exceptions import (
     ConfigurationError,
+    DataQualityError,
     DataShapeError,
     DimensionalityError,
     HOSMinerError,
@@ -55,6 +56,7 @@ __all__ = [
     "BatchResult",
     "ChebyshevMetric",
     "ConfigurationError",
+    "DataQualityError",
     "DataShapeError",
     "DimensionalityError",
     "DynamicSubspaceSearch",

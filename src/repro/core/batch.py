@@ -18,51 +18,40 @@ lock-step rounds:
    subspace list this round (the common case — concurrent searches
    walk the lattice in lock-step and expand the same levels) are fused
    into one stacked multi-query GEMM
-   (:meth:`~repro.index.linear.LinearScanIndex.knn_distance_sums_batch`
+   (:meth:`~repro.index.linear.LinearScanIndex.knn_distance_prefix_batch`
    with ``C_batch`` component stacking), after coalescing identical
-   query points so duplicates pay once; near-threshold GEMM values are
-   re-verified with the exact kernel before any pruning decision is
-   made on them. Under the exact kernel (or a backend without the
-   level kernel) the engine falls back to the original scheduling:
-   per-query ``knn_distance_sums`` gathers when masks outnumber
-   distinct masks, else one vectorised
+   query points so duplicates pay once. Under the exact kernel (or a
+   backend without the level kernel) the engine falls back to the
+   original scheduling: per-query level-kernel calls when masks
+   outnumber distinct masks, else one vectorised
    :meth:`~repro.index.base.KnnBackend.knn_batch` call per mask.
 
-Because ``run_stepped`` replays exactly the sequential decision process
-and every supplied OD value is exactly what the backend would have
-returned, the per-point results are **identical** to sequential
+Every kernel result becomes OD values through one function,
+:func:`~repro.core.od.record_level`, which re-verifies near-threshold
+GEMM values with the exact kernel before any pruning decision is made
+on them — the same step the sequential search runs.
+
+Because ``run_stepped`` is the sequential search's own loop and every
+supplied OD value is exactly what the backend would have returned, the
+per-point results are **identical** to sequential
 ``query_point``/``query_row`` calls — element-wise, including tie
 order — while the hot distance kernels run batch-wide and repeated work
 is shared (property-tested in ``tests/test_batch.py``).
 
 ``workers=N`` (default from ``HOSMinerConfig.workers`` / the
-``HOSMINER_WORKERS`` environment variable) adds multiprocessing under a
-``shard=`` strategy knob:
-
-``shard="rows"`` (default)
-    The persistent scatter-gather engine (:mod:`repro.core.shard`): the
-    fitted miner owns a worker pool spawned once and reused across
-    every ``query_batch`` call, whose workers hold shared-memory row
-    shards of the dataset. The round loop above runs unchanged on the
-    coordinator, but each mask-major work unit is *scattered*: every
-    shard answers with its local sorted k-nearest distance prefixes
-    (under the fitted kernel/precision/top-k knobs) and the coordinator
-    merges them exactly — OD additivity over data points makes the
-    merged prefix identical to a full scan's. Near-threshold GEMM
-    values re-verify through a sharded *exact* round. Only masks and
-    query rows cross the pipe, so per-call shipped bytes are
-    independent of ``n``; single-query batches ride the warm pool too
-    (no silent drop to in-process). ``SearchStats`` gains
-    ``shard_round_trips`` and ``bytes_shipped``.
-
-``shard="queries"``
-    The legacy query-split fallback: each worker runs the whole
-    in-process engine over a slice of the targets against its own miner
-    copy (cache sharing is per-worker). The executor is cached on the
-    miner across calls — the miner is pickled to the workers once at
-    pool creation, not per batch.
-
-Answers are unaffected by either mode.
+``HOSMINER_WORKERS`` environment variable) runs the same round loop on
+the persistent scatter-gather engine (:mod:`repro.core.shard`): the
+fitted miner owns a worker pool spawned once and reused across every
+``query_batch`` call, whose workers hold shared-memory row shards of the
+dataset. Each mask-major work unit is *scattered*: every shard answers
+with its local sorted k-nearest distance prefixes (under the fitted
+kernel and precision) and the coordinator merges them exactly — OD
+additivity over data points makes the merged prefix identical to a full
+scan's. Near-threshold GEMM values re-verify through a sharded *exact*
+round. Only masks and query rows cross the pipe, so per-call shipped
+bytes are independent of ``n``; single-query batches ride the warm pool
+too. ``SearchStats`` gains ``shard_round_trips`` and ``bytes_shipped``.
+Answers are unaffected by the worker count.
 """
 
 from __future__ import annotations
@@ -73,14 +62,11 @@ from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as np
 
-from repro.core.config import _SHARD_MODES
 from repro.core.exceptions import ConfigurationError
-from repro.core.od import ODEvaluator, SharedODCache, kth_bound, near_threshold
-from repro.core.precision import reverify_rtol
+from repro.core.od import ODEvaluator, SharedODCache, mask_dims, record_level
 from repro.core.result import BatchResult, OutlyingSubspaceResult
 from repro.core.search import SearchOutcome, SearchStats
-from repro.core.subspace import dims_of_mask
-from repro.index.base import components32_from, validate_query_matrix
+from repro.index.base import validate_query_matrix
 
 if TYPE_CHECKING:
     from repro.core.miner import HOSMiner
@@ -98,41 +84,18 @@ class _SearchState:
     pending: list[int] = field(default_factory=list)
     values: dict[int, float] = field(default_factory=dict)
     outcome: SearchOutcome | None = None
-    #: Per-dimension distance contribution matrix (n, d), allocated
-    #: lazily for eval-heavy searches and dropped on completion.
-    components: np.ndarray | None = None
-    #: Pre-transposed (d, n) float32 copy of ``components`` for the
-    #: float32 GEMM tier; ``None`` outside the tier or on overflow.
-    components32: np.ndarray | None = None
+    #: Whether the evaluator holds component matrices charged against
+    #: :data:`COMPONENT_BUDGET_BYTES` (released when the search ends).
+    budgeted: bool = False
 
 
-#: Ceiling on the memory held in per-state component matrices at any
+#: Ceiling on the memory held in per-search component matrices at any
 #: moment. Components are only profitable for searches that evaluate
 #: many subspaces, and those are exactly the searches that survive the
 #: first rounds — typically a small fraction of the batch — so this
 #: budget is rarely binding; when it is, the engine simply recomputes
 #: distances the sequential way.
 COMPONENT_BUDGET_BYTES = 256 * 2**20
-
-
-# Worker-process state for the ``workers=N`` mode. The miner is shipped
-# once per worker through the pool initializer (cheap under fork, one
-# pickle under spawn) instead of once per task.
-_WORKER_MINER: "HOSMiner | None" = None
-
-
-def _init_worker(miner: "HOSMiner") -> None:
-    global _WORKER_MINER
-    _WORKER_MINER = miner
-
-
-def _run_worker_chunk(
-    queries: np.ndarray, excludes: "list[int | None]"
-) -> tuple[list[OutlyingSubspaceResult], int, int]:
-    # workers=1 explicitly: a config-level HOSMINER_WORKERS>1 default
-    # must not make the chunk worker recurse into its own pool.
-    engine = BatchQueryEngine(_WORKER_MINER, workers=1)
-    return engine._run_inprocess(queries, excludes)
 
 
 class BatchQueryEngine:
@@ -144,34 +107,18 @@ class BatchQueryEngine:
         A fitted :class:`~repro.core.miner.HOSMiner`.
     workers:
         Worker processes; ``None`` (default) reads the miner's
-        ``config.workers``. 1 runs in-process; above 1 the batch runs
-        through the engine selected by ``shard``.
-    shard:
-        Multi-worker strategy (``None`` reads ``config.shard``):
-        ``"rows"`` scatters each work unit over the miner's persistent
-        shared-memory shard pool, ``"queries"`` splits the batch across
-        cached full-miner worker processes.
+        ``config.workers``. 1 runs in-process; above 1 every work unit
+        is scattered over the miner's persistent shared-memory row-shard
+        pool.
     """
 
-    def __init__(
-        self,
-        miner: "HOSMiner",
-        workers: "int | None" = None,
-        shard: "str | None" = None,
-    ) -> None:
+    def __init__(self, miner: "HOSMiner", workers: "int | None" = None) -> None:
         if workers is None:
             workers = miner.config.workers
-        if shard is None:
-            shard = miner.config.shard
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if shard not in _SHARD_MODES:
-            raise ConfigurationError(
-                f"shard must be one of {_SHARD_MODES}, got {shard!r}"
-            )
         self.miner = miner
         self.workers = workers
-        self.shard = shard
 
     # ------------------------------------------------------------------
     def run(self, targets) -> BatchResult:
@@ -181,7 +128,8 @@ class BatchQueryEngine:
         pool: "ShardPool | None" = None
         trips_before = bytes_before = 0
         respawns_before = retries_before = timeouts_before = degraded_before = 0
-        if self.workers > 1 and self.shard == "rows" and queries.shape[0] > 0:
+        workers = 1
+        if self.workers > 1 and queries.shape[0] > 0:
             # Single-query batches ride the warm pool too — the whole
             # point of a persistent engine is that small batches no
             # longer pay a spin-up, so there is nothing to dodge.
@@ -192,20 +140,10 @@ class BatchQueryEngine:
             retries_before = pool.retries
             timeouts_before = pool.timeouts
             degraded_before = pool.degraded_rounds
-            results, knn_evaluations, shared_hits = self._run_inprocess(
-                queries, excludes, pool=pool
-            )
             workers = pool.workers
-        elif self.workers > 1 and queries.shape[0] > 1:
-            results, knn_evaluations, shared_hits = self._run_query_split(
-                queries, excludes
-            )
-            workers = min(self.workers, queries.shape[0])
-        else:
-            results, knn_evaluations, shared_hits = self._run_inprocess(
-                queries, excludes
-            )
-            workers = 1
+        results, knn_evaluations, shared_hits = self._run_inprocess(
+            queries, excludes, pool=pool
+        )
         stats = self._aggregate_stats(results)
         if pool is not None:
             stats.shard_round_trips = pool.round_trips - trips_before
@@ -278,19 +216,10 @@ class BatchQueryEngine:
     ) -> tuple[list[OutlyingSubspaceResult], int, int]:
         miner = self.miner
         backend = miner.backend_
-        cache = miner.od_cache_
         k = miner.config.k
-
         kernel = miner.kernel_
         threshold = miner.threshold_
         precision = miner.precision_
-        use_f32 = kernel == "gemm" and precision == "float32"
-        # One band for every search of the batch: same backend, same
-        # resolved tier => same rigorous re-verification width.
-        band_rtol = reverify_rtol(precision, backend.d)
-        # Bound-inflation band for cached kth distances (delta cache
-        # invalidation): GEMM kths carry kernel noise, exact ones none.
-        prime_band = band_rtol if kernel == "gemm" else 0.0
 
         states: list[_SearchState] = []
         for query, exclude in zip(queries, excludes):
@@ -299,7 +228,7 @@ class BatchQueryEngine:
                 query,
                 k,
                 exclude=exclude,
-                shared_cache=cache,
+                shared_cache=miner.od_cache_,
                 kernel=kernel,
                 precision=precision,
             )
@@ -316,104 +245,42 @@ class BatchQueryEngine:
             state.pending = next(state.gen)
             active.append(i)
 
-        supports_sums = hasattr(backend, "knn_distance_sums")
-        supports_components = hasattr(backend, "distance_components")
+        supports_prefix = hasattr(backend, "knn_distance_prefix")
         # Mask-major group scheduling: always under the shard pool (the
         # scatter unit IS the group), else when the GEMM kernel can
         # stack the group into one multi-query product.
         use_groups = pool is not None or (
-            kernel == "gemm" and hasattr(backend, "knn_distance_sums_batch")
+            kernel == "gemm" and hasattr(backend, "knn_distance_prefix_batch")
         )
         component_bytes = 0
-        dims_cache: dict[int, np.ndarray] = {}
-
-        def dims_for(mask: int) -> np.ndarray:
-            dims = dims_cache.get(mask)
-            if dims is None:
-                dims = np.asarray(dims_of_mask(mask), dtype=np.intp)
-                dims_cache[mask] = dims
-            return dims
-
         # Float64 components cost 8 bytes/element; the float32 tier
         # keeps a transposed float32 copy alongside (4 more).
+        use_f32 = kernel == "gemm" and precision == "float32"
         per_state_bytes = queries.shape[1] * backend.size * (12 if use_f32 else 8)
 
         def allocate_components(state: _SearchState) -> None:
-            """Budget-gated per-state component matrix allocation."""
+            """Budget-gated component allocation on the state's evaluator."""
             nonlocal component_bytes
-            if not supports_components or state.components is not None:
+            if state.budgeted or component_bytes + per_state_bytes > COMPONENT_BUDGET_BYTES:
                 return
-            if component_bytes + per_state_bytes <= COMPONENT_BUDGET_BYTES:
-                state.components = backend.distance_components(
-                    state.evaluator.query
-                )
-                if state.components is not None:
-                    component_bytes += per_state_bytes
-                    if use_f32:
-                        state.components32 = components32_from(state.components)
-
-        def precision_kwargs(state: "_SearchState | None") -> dict:
-            """Extra kwargs carrying the float32 tier into the backend
-            sums kernels (empty outside the tier)."""
-            if not use_f32:
-                return {}
-            if state is None:
-                return {"precision": "float32"}
-            return {"precision": "float32", "components32": state.components32}
-
-        def reverified(
-            state: _SearchState,
-            i: int,
-            mask: int,
-            value: float,
-            kth: "float | None" = None,
-        ) -> "tuple[float, float | None]":
-            """Replace a near-threshold GEMM value with the exact one.
-
-            The single point where the engine enforces the kernel knob's
-            answers-identical contract — every GEMM-computed value flows
-            through here before a pruning decision can be made on it.
-            Returns ``(value, safe kth bound)``: the exact kth after a
-            re-verification, the band-inflated *kth* otherwise (``None``
-            when the caller's kernel did not surface one — the stacked
-            multi-query GEMM has no prefix variant).
-            """
-            if kernel == "gemm" and near_threshold(value, threshold, band_rtol):
-                row = backend.knn_distance_prefix(
-                    state.evaluator.query,
-                    k,
-                    [dims_for(mask)],
-                    exclude=excludes[i],
-                    components=state.components,
-                    kernel="exact",
-                )[0]
-                value = float(row.sum())
-                kth = float(row[-1])  # exact: already a safe bound
-                state.evaluator.reverifications += 1
-                stats = getattr(backend, "stats", None)
-                if stats is not None:
-                    stats.bump("reverified_masks")
-                return value, kth
-            if kth is not None:
-                kth = kth_bound(kth, prime_band)
-            return value, kth
+            if state.evaluator.ensure_components() is not None:
+                state.budgeted = True
+                component_bytes += per_state_bytes
 
         def serve_pool(members: "list[int]", masks: "list[int]") -> None:
             """Answer a mask-major group by scattering it over the
             persistent shard pool.
 
             Workers return per-shard sorted k-nearest distance prefixes
-            under the fitted kernel/precision knobs; the coordinator's
-            exact k-way merge makes the summed values bit-identical to
-            the in-process kernels, so the same near-threshold band
-            triggers the same exact re-verifications — served by a
-            second scatter under ``kernel="exact"`` (itself bit-identical
-            to a sequential exact evaluation). The coordinator backend's
-            logical counters are bumped exactly as the in-process
-            kernels would have charged them, so cost accounting is
-            mode-independent.
+            under the fitted kernel/precision; the coordinator's exact
+            k-way merge makes them bit-identical to the in-process
+            kernels', so :func:`record_level` triggers the same exact
+            re-verifications — served by a second scatter under
+            ``kernel="exact"``. The coordinator backend's logical
+            counters are bumped exactly as the in-process kernels would
+            have charged them, so cost accounting is mode-independent.
             """
-            dims = [dims_for(mask) for mask in masks]
+            dims = [mask_dims(mask) for mask in masks]
             prefixes = pool.scatter_prefixes(
                 queries[members],
                 dims,
@@ -422,12 +289,6 @@ class BatchQueryEngine:
                 kernel,
                 precision,
             )
-            # Ascending sums of the merged global k-prefixes — the same
-            # accumulation order as the sequential kernels (hence the
-            # same float64 values); the last prefix column is the kth
-            # distance the delta cache invalidation needs as a bound.
-            grid = prefixes.sum(axis=-1)
-            kmax = prefixes[..., -1]
             q_count, m_count = len(members), len(masks)
             stats = getattr(backend, "stats", None)
             if stats is not None:
@@ -438,48 +299,29 @@ class BatchQueryEngine:
                         2 * backend.size * backend.d * m_count * q_count,
                     )
                     stats.bump("gemm_masks", m_count * q_count)
-            if kernel == "gemm":
-                for row, i in enumerate(members):
-                    near = [
-                        col
-                        for col in range(m_count)
-                        if near_threshold(
-                            float(grid[row, col]), threshold, band_rtol
-                        )
-                    ]
-                    if not near:
-                        continue
-                    exact = pool.scatter_prefixes(
+            for row, i in enumerate(members):
+
+                def exact(columns: "list[int]", i: int = i) -> np.ndarray:
+                    if stats is not None:
+                        stats.knn_queries += len(columns)
+                    return pool.scatter_prefixes(
                         queries[[i]],
-                        [dims[col] for col in near],
+                        [dims[col] for col in columns],
                         k,
                         [excludes[i]],
                         "exact",
                         "float64",
                     )[0]
-                    grid[row, near] = exact.sum(axis=-1)
-                    kmax[row, near] = exact[:, -1]
-                    states[i].evaluator.reverifications += len(near)
-                    if stats is not None:
-                        stats.knn_queries += len(near)
-                        stats.bump("reverified_masks", len(near))
-            for row, i in enumerate(members):
-                state = states[i]
-                for col, mask in enumerate(masks):
-                    value = float(grid[row, col])
-                    state.evaluator.prime(
-                        mask, value, kth=kth_bound(float(kmax[row, col]), prime_band)
-                    )
-                    state.values[mask] = value
 
-        def serve_with_sums(state: _SearchState, i: int, masks: "list[int]") -> None:
-            """Answer one state's masks via its level prefix kernel
-            (GEMM when the miner resolved it), with exact re-verification
-            of near-threshold GEMM values. The prefix kernel rather than
-            the sums kernel: the sums ARE ``prefix.sum(axis=1)``
-            (documented on both backends), and the last prefix column is
-            the kth-neighbour distance the delta cache invalidation
-            needs as a bound — captured here for free."""
+                states[i].values.update(
+                    record_level(
+                        states[i].evaluator, masks, prefixes[row], threshold, exact
+                    )
+                )
+
+        def serve_one(state: _SearchState, i: int, masks: "list[int]") -> None:
+            """Answer one state's masks through its evaluator (or the
+            pool), with the engine's budget deciding on components."""
             if pool is not None:
                 serve_pool([i], masks)
                 return
@@ -488,23 +330,38 @@ class BatchQueryEngine:
             # regardless of the batch width.
             if len(masks) > 1 or kernel == "gemm":
                 allocate_components(state)
-            prefixes = backend.knn_distance_prefix(
-                state.evaluator.query,
+            state.values.update(state.evaluator.evaluate(masks, threshold))
+
+        def serve_stacked(members: "list[int]", masks: "list[int]") -> None:
+            """Answer a mask-major group with one stacked multi-query
+            GEMM; each member's prefixes settle through its evaluator's
+            exact kernel."""
+            for i in members:
+                allocate_components(states[i])
+            evaluators = [states[i].evaluator for i in members]
+            dims = [mask_dims(mask) for mask in masks]
+            grid = backend.knn_distance_prefix_batch(
+                queries[members],
                 k,
-                [dims_for(mask) for mask in masks],
-                exclude=excludes[i],
-                components=state.components,
-                kernel=kernel,
-                **precision_kwargs(state),
+                dims,
+                excludes=[excludes[i] for i in members],
+                components_list=[ev.components for ev in evaluators],
+                kernel="gemm",
+                precision=precision,
+                components32_list=[ev.components32 for ev in evaluators],
             )
-            sums = prefixes.sum(axis=1)
-            kths = prefixes[:, -1]
-            for col, mask in enumerate(masks):
-                value, kth = reverified(
-                    state, i, mask, float(sums[col]), float(kths[col])
+            for row, (i, ev) in enumerate(zip(members, evaluators)):
+                states[i].values.update(
+                    record_level(
+                        ev,
+                        masks,
+                        grid[row],
+                        threshold,
+                        lambda columns, ev=ev: ev.exact_prefixes(
+                            [dims[col] for col in columns]
+                        ),
+                    )
                 )
-                state.evaluator.prime(mask, value, kth=kth)
-                state.values[mask] = value
 
         def replay_duplicates(
             duplicates: "list[int]", needs_by_state: "dict[int, list[int]]"
@@ -522,7 +379,7 @@ class BatchQueryEngine:
                 if leftovers:
                     # Defensive: a duplicate whose trajectory diverged
                     # (should not happen) computes its own.
-                    serve_with_sums(state, i, leftovers)
+                    serve_one(state, i, leftovers)
 
         while active:
             # Split each search's requests into cache replays and misses.
@@ -549,7 +406,7 @@ class BatchQueryEngine:
             # exact kernel, keep the original heuristic: group masks per
             # query when masks outnumber distinct masks (late rounds),
             # else one multi-query knn_batch per mask (early rounds).
-            by_state = supports_sums and 0 < len(needs_by_state) < len(need_map)
+            by_state = supports_prefix and 0 < len(needs_by_state) < len(need_map)
 
             if use_groups and needs_by_state:
                 # Coalesce identical query points first: the first state
@@ -570,51 +427,10 @@ class BatchQueryEngine:
                     masks = list(signature)
                     if pool is not None:
                         serve_pool(members, masks)
-                        continue
-                    if len(members) == 1:
-                        serve_with_sums(states[members[0]], members[0], masks)
-                        continue
-                    for i in members:
-                        allocate_components(states[i])
-                    batch_kwargs = {}
-                    if use_f32:
-                        batch_kwargs["precision"] = "float32"
-                        batch_kwargs["components32_list"] = [
-                            states[i].components32 for i in members
-                        ]
-                    # The prefix-grade batch kernel when the backend has
-                    # one: the sums are prefix.sum(axis=2) and the last
-                    # prefix column is each pair's kth distance — the
-                    # delta-cache bound, harvested for free.
-                    prefix_batch = getattr(
-                        backend, "knn_distance_prefix_batch", None
-                    )
-                    batch_fn = prefix_batch or backend.knn_distance_sums_batch
-                    grid = batch_fn(
-                        queries[members],
-                        k,
-                        [dims_for(mask) for mask in masks],
-                        excludes=[excludes[i] for i in members],
-                        components_list=[states[i].components for i in members],
-                        kernel="gemm",
-                        **batch_kwargs,
-                    )
-                    kmax = None
-                    if prefix_batch is not None:
-                        kmax = grid[..., -1]
-                        grid = grid.sum(axis=2)
-                    for row, i in enumerate(members):
-                        state = states[i]
-                        for col, mask in enumerate(masks):
-                            value, kth = reverified(
-                                state,
-                                i,
-                                mask,
-                                float(grid[row, col]),
-                                None if kmax is None else float(kmax[row, col]),
-                            )
-                            state.evaluator.prime(mask, value, kth=kth)
-                            state.values[mask] = value
+                    elif len(members) == 1:
+                        serve_one(states[members[0]], members[0], masks)
+                    else:
+                        serve_stacked(members, masks)
                 replay_duplicates(duplicates, needs_by_state)
             elif by_state:
                 # Identical query points run in lockstep, so coalesce
@@ -629,7 +445,7 @@ class BatchQueryEngine:
                         duplicates.append(i)
                         continue
                     seen_round_keys.add(key)
-                    serve_with_sums(state, i, masks)
+                    serve_one(state, i, masks)
                 replay_duplicates(duplicates, needs_by_state)
             else:
                 for mask, needers in need_map.items():
@@ -648,7 +464,7 @@ class BatchQueryEngine:
                     answers = backend.knn_batch(
                         queries[representatives],
                         k,
-                        dims_for(mask),
+                        mask_dims(mask),
                         excludes=[excludes[i] for i in representatives],
                     )
                     for i, (_, distances) in zip(representatives, answers):
@@ -670,10 +486,10 @@ class BatchQueryEngine:
                     still_active.append(i)
                 except StopIteration as stop:
                     state.outcome = stop.value
-                    if state.components is not None:
+                    state.evaluator.release_components()
+                    if state.budgeted:
                         component_bytes -= per_state_bytes
-                        state.components = None
-                        state.components32 = None
+                        state.budgeted = False
             active = still_active
 
         results = [
@@ -681,36 +497,6 @@ class BatchQueryEngine:
         ]
         knn_evaluations = sum(state.evaluator.evaluations for state in states)
         shared_hits = sum(state.evaluator.shared_hits for state in states)
-        return results, knn_evaluations, shared_hits
-
-    # ------------------------------------------------------------------
-    def _run_query_split(
-        self, queries: np.ndarray, excludes: "list[int | None]"
-    ) -> tuple[list[OutlyingSubspaceResult], int, int]:
-        """Legacy ``shard="queries"`` mode: split the batch across full
-        miner copies. The executor (and the one-time miner pickle it
-        paid at creation) is cached on the miner and reused by every
-        subsequent call."""
-        m = queries.shape[0]
-        pool = self.miner._ensure_query_pool(self.workers)
-        n_workers = min(self.workers, m)
-        chunks = np.array_split(np.arange(m), n_workers)
-        futures = [
-            pool.submit(
-                _run_worker_chunk,
-                queries[chunk],
-                [excludes[i] for i in chunk],
-            )
-            for chunk in chunks
-        ]
-        parts = [future.result() for future in futures]
-        results: list[OutlyingSubspaceResult] = []
-        knn_evaluations = 0
-        shared_hits = 0
-        for part_results, part_knn, part_hits in parts:
-            results.extend(part_results)
-            knn_evaluations += part_knn
-            shared_hits += part_hits
         return results, knn_evaluations, shared_hits
 
     # ------------------------------------------------------------------

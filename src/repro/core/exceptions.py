@@ -38,6 +38,15 @@ class DataShapeError(HOSMinerError, ValueError):
     """Input data does not have the expected shape or dtype."""
 
 
+class DataQualityError(DataShapeError):
+    """Input data has the right shape but unusable values (NaN or inf).
+
+    A non-finite cell makes every OD through it NaN or inf, and a
+    threshold calibrated on such data answers nothing, so fit, insert
+    and every query path reject it up front.
+    """
+
+
 class IndexError_(HOSMinerError, RuntimeError):
     """An internal index invariant was violated.
 

@@ -32,11 +32,12 @@ approximation), so sharing never changes answers, only cost.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.exceptions import ConfigurationError, DataShapeError
+from repro.core.exceptions import ConfigurationError, DataQualityError, DataShapeError
 from repro.core.metrics import resolve_kernel
 from repro.core.precision import resolve_precision, reverify_rtol
 from repro.core.subspace import Subspace, dims_of_mask
@@ -47,8 +48,10 @@ __all__ = [
     "ODEvaluator",
     "SharedODCache",
     "kth_bound",
+    "mask_dims",
     "near_threshold",
     "outlying_degree",
+    "record_level",
 ]
 
 #: Relative half-width of the band around the threshold inside which a
@@ -91,6 +94,71 @@ def kth_bound(kth: float, rtol: float) -> float:
     if not np.isfinite(kth):
         return float("inf")
     return kth + rtol * (abs(kth) + 1.0)
+
+
+@lru_cache(maxsize=1 << 16)
+def mask_dims(mask: int) -> np.ndarray:
+    """Read-only ``intp`` dimension array of *mask*, memoised: every
+    search of a fit walks the same lattice, so the conversion is paid
+    once per mask rather than once per search and level."""
+    dims = np.asarray(dims_of_mask(mask), dtype=np.intp)
+    dims.flags.writeable = False
+    return dims
+
+
+def record_level(
+    evaluator: "ODEvaluator",
+    masks: Sequence[int],
+    prefixes: np.ndarray,
+    threshold: float | None,
+    exact_prefixes: Callable[[list[int]], np.ndarray],
+) -> dict[int, float]:
+    """Settle one query's level from its sorted k-nearest prefixes.
+
+    The single point where kernel output becomes OD values, shared by
+    the sequential search (:meth:`ODEvaluator.evaluate`), the batch
+    engine's stacked GEMM and the shard pool. *prefixes* is the
+    ``(len(masks), k)`` block of ascending neighbour distances computed
+    under the evaluator's kernel; an OD is its row sum.
+
+    Under the GEMM kernel with a *threshold*, every column whose sum is
+    inside the :func:`near_threshold` band is recomputed by
+    ``exact_prefixes(columns)``, which the caller supplies (the
+    backend's exact prefix kernel in-process, an exact scatter round on
+    the shard pool) and which returns the exact ``(len(columns), k)``
+    rows. The caller's ``OD >= T`` decisions therefore match the exact
+    kernel's.
+
+    Each value is recorded on the evaluator (one evaluation each) with
+    its kth-distance bound for delta cache invalidation: a GEMM kth is
+    inflated by the band (:func:`kth_bound`), an exact kth — from the
+    exact kernel or a re-verification — is stored as is.
+    """
+    sums = prefixes.sum(axis=1)
+    gemm = evaluator.kernel == "gemm"
+    band = evaluator.reverify_rtol if gemm else 0.0
+    bounds = [kth_bound(float(kth), band) for kth in prefixes[:, -1]]
+    if gemm and threshold is not None:
+        near = [
+            col
+            for col in range(len(masks))
+            if near_threshold(float(sums[col]), threshold, evaluator.reverify_rtol)
+        ]
+        if near:
+            exact = exact_prefixes(near)
+            sums[near] = exact.sum(axis=1)
+            for row, col in enumerate(near):
+                bounds[col] = float(exact[row, -1])
+            evaluator.reverifications += len(near)
+            stats = getattr(evaluator.backend, "stats", None)
+            if stats is not None:
+                stats.bump("reverified_masks", len(near))
+    values: dict[int, float] = {}
+    for col, mask in enumerate(masks):
+        value = float(sums[col])
+        evaluator.prime(mask, value, kth=bounds[col])
+        values[mask] = value
+    return values
 
 
 def outlying_degree(
@@ -170,8 +238,7 @@ class SharedODCache:
         is none, the OD value itself steps in: the sum of the k smallest
         distances is always ``>=`` the kth of them, so ``value`` is a
         safe — merely loose, by up to a factor of k — upper bound. That
-        keeps entries from kernel paths that never see per-mask kth
-        distances (the fused stacked-GEMM batch kernel) delta-retainable
+        keeps entries recorded without a kth distance delta-retainable
         instead of unconditionally evicted.
         """
         if (point_key, mask) not in self._values:
@@ -401,10 +468,11 @@ class ODEvaluator:
         self._point_key = (
             SharedODCache.point_key(query, exclude) if shared_cache is not None else None
         )
-        self._components: np.ndarray | None = None
+        #: Per-query ``(n, d)`` distance components and the float32
+        #: tier's transposed copy (:meth:`ensure_components`).
+        self.components: np.ndarray | None = None
+        self.components32: np.ndarray | None = None
         self._components_probed = False
-        self._components32: np.ndarray | None = None
-        self._components32_probed = False
 
     @staticmethod
     def _validate_query(query: np.ndarray, d: int) -> np.ndarray:
@@ -424,6 +492,8 @@ class ODEvaluator:
             raise DataShapeError(
                 f"expected a query of shape ({d},), got shape {query.shape}"
             )
+        if not np.isfinite(query).all():
+            raise DataQualityError("query contains non-finite values (NaN or inf)")
         return query
 
     def od(self, mask: int) -> float:
@@ -431,8 +501,13 @@ class ODEvaluator:
         cached = self.cached_od(mask)
         if cached is not None:
             return cached
-        dims = dims_of_mask(mask)
-        _, distances = self.backend.knn(self.query, self.k, dims, exclude=self.exclude)
+        return self._od_exact(mask)
+
+    def _od_exact(self, mask: int) -> float:
+        """One exact kNN for a mask known to miss the caches."""
+        _, distances = self.backend.knn(
+            self.query, self.k, dims_of_mask(mask), exclude=self.exclude
+        )
         value = float(distances.sum())
         # Exact kernel: the kth distance itself is a safe bound.
         self._store(mask, value, kth=float(distances[-1]))
@@ -443,18 +518,11 @@ class ODEvaluator:
         """OD of the query point in every subspace of *masks* at once.
 
         The level-wide evaluation point of the sequential search: cache
-        replays are split off mask by mask, and every remaining subspace
-        is served by **one** backend ``knn_distance_sums`` call under
-        this evaluator's kernel — for ``kernel="gemm"`` that is the
-        single-GEMM level kernel, with a per-query component matrix
-        reused across every level of the search.
-
-        When *threshold* is given and the GEMM kernel computed the
-        values, any value inside the :func:`near_threshold` band is
-        re-computed with the exact kernel and replaced, so the caller's
-        ``OD >= threshold`` decisions are guaranteed to match what the
-        exact kernel would have decided — the pruning contract of the
-        kernel knob.
+        replays are split off mask by mask and the rest go to
+        :meth:`evaluate` in one backend call. With a *threshold*,
+        near-threshold GEMM values are re-verified exactly (see
+        :func:`record_level`), so the caller's ``OD >= threshold``
+        decisions match the exact kernel's.
         """
         values: dict[int, float] = {}
         new_masks: list[int] = []
@@ -464,92 +532,85 @@ class ODEvaluator:
                 values[mask] = cached
             else:
                 new_masks.append(mask)
-        if not new_masks:
-            return values
+        if new_masks:
+            # The component matrix pays off once a level has several
+            # masks, and the GEMM kernel consumes it every round.
+            if len(new_masks) > 1 or self.kernel == "gemm":
+                self.ensure_components()
+            values.update(self.evaluate(new_masks, threshold))
+        return values
+
+    def evaluate(
+        self, masks: Sequence[int], threshold: float | None = None
+    ) -> dict[int, float]:
+        """Compute and record the OD of *masks*, which missed the caches.
+
+        One backend ``knn_distance_prefix`` call under this evaluator's
+        kernel serves the whole list — for ``kernel="gemm"`` the
+        single-GEMM level kernel over the per-query component matrix,
+        when :meth:`ensure_components` has built one — and
+        :func:`record_level` settles the values. Backends without the
+        level kernel (the trees) run one exact kNN per mask.
+        """
         prefix_fn = getattr(self.backend, "knn_distance_prefix", None)
         if prefix_fn is None:
             # Tree backends: no level kernel, one branch-and-bound kNN
             # per subspace (their per-query descent is inherently serial).
-            for mask in new_masks:
-                values[mask] = self.od(mask)
-            return values
-        dims_arrays = [
-            np.asarray(dims_of_mask(mask), dtype=np.intp) for mask in new_masks
-        ]
-        components = self._ensure_components(len(dims_arrays))
-        kwargs = {}
-        if self.precision == "float32":
-            kwargs["precision"] = "float32"
-            kwargs["components32"] = self._ensure_components32(components)
-        # The prefix kernel rather than the sums kernel: the sums ARE
-        # prefix.sum(axis=1) (documented on both backends), and the last
-        # prefix column is the kth-neighbour distance the delta cache
-        # invalidation needs as a bound — captured here for free.
+            return {mask: self._od_exact(mask) for mask in masks}
+        dims_list = [mask_dims(mask) for mask in masks]
         prefixes = prefix_fn(
             self.query,
             self.k,
-            dims_arrays,
+            dims_list,
             exclude=self.exclude,
-            components=components,
+            components=self.components,
             kernel=self.kernel,
-            **kwargs,
+            precision=self.precision,
+            components32=self.components32,
         )
-        sums = prefixes.sum(axis=1)
-        kths = prefixes[:, -1].copy()
-        if self.kernel == "gemm" and threshold is not None:
-            stats = getattr(self.backend, "stats", None)
-            for idx in range(len(new_masks)):
-                if near_threshold(float(sums[idx]), threshold, self.reverify_rtol):
-                    row = prefix_fn(
-                        self.query,
-                        self.k,
-                        [dims_arrays[idx]],
-                        exclude=self.exclude,
-                        components=components,
-                        kernel="exact",
-                    )[0]
-                    sums[idx] = row.sum()
-                    kths[idx] = row[-1]
-                    self.reverifications += 1
-                    if stats is not None:
-                        stats.bump("reverified_masks")
-        # GEMM values carry kernel noise inside the re-verification
-        # band; inflate the recorded kth bound by it so delta retention
-        # decisions are safe at every precision tier.
-        band = self.reverify_rtol if self.kernel == "gemm" else 0.0
-        for idx, mask in enumerate(new_masks):
-            value = float(sums[idx])
-            self._store(mask, value, kth=kth_bound(float(kths[idx]), band))
-            self.evaluations += 1
-            values[mask] = value
-        return values
+        return record_level(
+            self,
+            masks,
+            prefixes,
+            threshold,
+            lambda columns: self.exact_prefixes([dims_list[c] for c in columns]),
+        )
 
-    def _ensure_components(self, new_count: int) -> "np.ndarray | None":
-        """Lazily build the per-query distance-component matrix.
+    def exact_prefixes(self, dims_list: "Sequence[np.ndarray]") -> np.ndarray:
+        """Exact-kernel sorted k-prefixes, ``(len(dims_list), k)`` — the
+        in-process re-verification kernel of :func:`record_level`."""
+        return self.backend.knn_distance_prefix(
+            self.query,
+            self.k,
+            dims_list,
+            exclude=self.exclude,
+            components=self.components,
+            kernel="exact",
+        )
 
-        Allocated on the first multi-subspace evaluation and kept for
-        the evaluator's lifetime — a search revisits the backend once
-        per lattice level, and one ``(n, d)`` matrix serves them all.
+    def ensure_components(self) -> "np.ndarray | None":
+        """Build the per-query distance-component matrix once.
+
+        Kept until :meth:`release_components` — a search revisits the
+        backend once per lattice level, and one ``(n, d)`` matrix serves
+        them all. The float32 tier also keeps its pre-transposed float32
+        copy (``None`` on overflow, which makes the backend fall back to
+        float64). Returns ``None`` when the backend or metric has no
+        component decomposition.
         """
-        if (
-            self._components is None
-            and not self._components_probed
-            and (new_count > 1 or self.kernel == "gemm")
-        ):
+        if not self._components_probed:
             self._components_probed = True
             components_fn = getattr(self.backend, "distance_components", None)
             if components_fn is not None:
-                self._components = components_fn(self.query)
-        return self._components
+                self.components = components_fn(self.query)
+                if self.precision == "float32":
+                    self.components32 = components32_from(self.components)
+        return self.components
 
-    def _ensure_components32(self, components: "np.ndarray | None") -> "np.ndarray | None":
-        """Lazily build (and keep) the pre-transposed float32 component
-        copy of the precision tier; ``None`` (float32 overflow or no
-        component matrix) makes the backend fall back to float64."""
-        if not self._components32_probed:
-            self._components32_probed = True
-            self._components32 = components32_from(components)
-        return self._components32
+    def release_components(self) -> None:
+        """Drop the component matrices (the search is finished)."""
+        self.components = None
+        self.components32 = None
 
     def cached_od(self, mask: int) -> float | None:
         """Cached OD for *mask* (local, then shared), or ``None``.

@@ -69,7 +69,7 @@ class SearchStats:
     #: counter; always 0 under the exact kernel).
     reverified: int = 0
     #: Scatter-gather rounds through the persistent shard pool (batch
-    #: aggregate; 0 outside ``shard="rows"`` multi-worker batches).
+    #: aggregate; 0 outside multi-worker batches).
     shard_round_trips: int = 0
     #: Bytes that crossed coordinator↔shard pipes (masks, query rows and
     #: k-prefix replies — never data rows, so independent of ``n``).
@@ -206,57 +206,44 @@ class DynamicSubspaceSearch:
     def run(self) -> SearchOutcome:
         """Execute the search to completion and return the outcome.
 
-        Each step evaluates the whole selected batch of masks through
+        A driver over :meth:`run_stepped` that answers every step with
         :meth:`ODEvaluator.od_many` — one level-wide kernel call under
-        the evaluator's kernel (a single GEMM for ``kernel="gemm"``) —
-        then replays the per-mask pruning decisions in order. Same-level
-        subspaces cannot prune one another, so batch evaluation decides
-        exactly what per-mask evaluation would have decided; passing the
-        threshold lets ``od_many`` re-verify near-threshold GEMM values
-        with the exact kernel, keeping the answer set identical across
-        kernels.
+        the evaluator's kernel (a single GEMM for ``kernel="gemm"``).
+        Passing the threshold lets ``od_many`` re-verify near-threshold
+        GEMM values with the exact kernel, keeping the answer set
+        identical across kernels.
         """
-        start = time.perf_counter()
-        lattice = SubspaceLattice(self.evaluator.backend.d)
-        stats = SearchStats()
-
-        cursors: dict[int, int] = {}
-        while lattice.has_unknown():
-            level, masks = self._next_step(lattice, stats, cursors)
-            eval_masks = masks
-            if self.max_evaluations is not None:
-                # Never compute more ODs than the budget can record: the
-                # loop below raises at mask `remaining`, so values past
-                # it would be pure wasted (and unbounded) kernel work.
-                remaining = self.max_evaluations - stats.od_evaluations
-                eval_masks = masks[: max(0, remaining)]
-            values = self.evaluator.od_many(eval_masks, threshold=self.threshold)
-            for mask in masks:
-                # The guard keeps the loop robust if same-level pruning
-                # ever becomes possible.
-                if lattice.is_unknown(mask):
-                    self._check_budget(lattice, stats)
-                    self._record(mask, values[mask], level, lattice, stats)
-        return self._finish(lattice, stats, start)
+        steps = self.run_stepped()
+        try:
+            masks = next(steps)
+            while True:
+                masks = steps.send(
+                    self.evaluator.od_many(masks, threshold=self.threshold)
+                )
+        except StopIteration as stop:
+            return stop.value
 
     def run_stepped(
         self,
     ) -> Generator[list[int], "dict[int, float]", SearchOutcome]:
-        """Coroutine form of :meth:`run` for drivers that supply OD values.
+        """The lattice loop, as a coroutine for drivers that supply ODs.
 
         Yields the masks whose OD the search needs next and expects a
         ``{mask: od}`` dict in return via ``send``; the generator's
-        return value is the same :class:`SearchOutcome` :meth:`run`
-        produces. In ``"level"`` mode one whole level is requested per
-        step — same-level subspaces cannot prune one another, so
-        deciding them from a pre-fetched batch replays the sequential
-        decisions exactly; ``"evaluation"`` mode requests a single mask
-        at a time. Level selection, pruning and statistics are shared
-        with :meth:`run`, so the answer set, the level schedule and the
-        logical cost counters are identical — only *who* computes the OD
-        values changes, which is what lets a batch driver group requests
-        across many concurrent searches into vectorised multi-query kNN
-        calls.
+        return value is the :class:`SearchOutcome`. In ``"level"`` mode
+        one whole level is requested per step — same-level subspaces
+        cannot prune one another, so deciding them from a pre-fetched
+        batch replays the per-mask decisions exactly; ``"evaluation"``
+        mode requests a single mask at a time. :meth:`run` and the batch
+        engine both drive this one loop, so the answer set, the level
+        schedule and the logical cost counters cannot differ between
+        them — only *who* computes the OD values changes, which is what
+        lets a batch driver group requests across many concurrent
+        searches into vectorised multi-query kNN calls.
+
+        Under ``max_evaluations`` a step never requests more masks than
+        the budget can record: the loop raises at mask ``remaining``, so
+        values past it would be wasted (and unbounded) kernel work.
         """
         start = time.perf_counter()
         lattice = SubspaceLattice(self.evaluator.backend.d)
@@ -265,8 +252,14 @@ class DynamicSubspaceSearch:
         cursors: dict[int, int] = {}
         while lattice.has_unknown():
             level, masks = self._next_step(lattice, stats, cursors)
-            values = yield masks
+            requested = masks
+            if self.max_evaluations is not None:
+                remaining = self.max_evaluations - stats.od_evaluations
+                requested = masks[: max(0, remaining)]
+            values = yield requested
             for mask in masks:
+                # The guard keeps the loop robust if same-level pruning
+                # ever becomes possible.
                 if lattice.is_unknown(mask):
                     self._check_budget(lattice, stats)
                     self._record(mask, values[mask], level, lattice, stats)
@@ -276,12 +269,7 @@ class DynamicSubspaceSearch:
     def _next_step(
         self, lattice: SubspaceLattice, stats: SearchStats, cursors: dict[int, int]
     ) -> tuple[int, list[int]]:
-        """Select the next level and the masks this step will decide.
-
-        One implementation serves :meth:`run` and :meth:`run_stepped`,
-        which keeps the two entry points in lock-step by construction —
-        the batched path's answers-identical guarantee depends on it.
-        """
+        """Select the next level and the masks this step will decide."""
         level = self._select_level(lattice)
         stats.level_schedule.append(level)
         if self.reselect == "level":
@@ -302,6 +290,7 @@ class DynamicSubspaceSearch:
             stats=stats,
             lattice=lattice,
         )
+
     def _select_level(self, lattice: SubspaceLattice) -> int:
         """Level with the highest TSF; ties favour the lower level, which
         keeps the schedule deterministic and biases toward the small

@@ -21,16 +21,10 @@ its runtime:
     the view itself). Per round, only masks + query rows cross the pipe
     (never data rows — ``bytes_shipped`` is counter-asserted independent
     of ``n`` in the tests), each shard answers with its local sorted
-    k-nearest distance prefixes under the miner's ``kernel``/
-    ``precision``/top-k knobs, and the coordinator performs an exact
-    k-way streaming merge (:func:`merge_prefixes`) so every OD value is
+    k-nearest distance prefixes under the miner's ``kernel`` and
+    ``precision``, and the coordinator performs an exact k-way
+    streaming merge (:func:`merge_prefixes`) so every OD value is
     element-wise identical to the sequential kernels.
-
-:class:`QuerySplitPool`
-    The legacy ``shard="queries"`` fallback — each worker holds a full
-    miner copy and serves whole queries — kept behind the same
-    persistent lifecycle so repeated batches stop paying the old
-    per-call executor spin-up and miner re-pickle.
 
 Fault tolerance (the supervision triad)
 ---------------------------------------
@@ -68,7 +62,7 @@ per batch into ``SearchStats`` and show up in
 via :mod:`repro.testing.faults` (``HOSMINER_FAULTS``), which drives the
 chaos test suite and the E16 robustness benchmark.
 
-Lifecycle: both pools expose explicit ``close()`` and the context-manager
+Lifecycle: the pool exposes explicit ``close()`` and the context-manager
 protocol; teardown also runs via ``weakref.finalize`` (which covers both
 garbage collection and ``atexit``), guarded by the owning PID so forked
 children can never unlink a parent's live segments. ``close()`` is
@@ -89,10 +83,9 @@ import logging
 import os
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import Pipe, Process
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,10 +95,7 @@ from repro.index.base import components32_from
 from repro.index.topk import topk_prefix
 from repro.testing.faults import FaultPlan, parse_faults
 
-if TYPE_CHECKING:
-    from repro.core.miner import HOSMiner
-
-__all__ = ["ShardPool", "QuerySplitPool", "merge_prefixes", "shard_bounds"]
+__all__ = ["ShardPool", "merge_prefixes", "shard_bounds"]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -391,8 +381,8 @@ def _release_shards(owner_pid, conns, procs, segments, fallback) -> None:
 
     Runs at most once per pool via ``weakref.finalize`` — explicit
     ``close()``, garbage collection and ``atexit`` all funnel here. The
-    PID guard keeps forked children (the query-split workers inherit the
-    parent's pool handles) from unlinking segments they do not own.
+    PID guard keeps forked children (which inherit the parent's pool
+    handles) from unlinking segments they do not own.
 
     Worst-case latency is bounded: the graceful sentinel gets one grace
     window per worker, then :func:`_reap_process` escalates
@@ -1114,63 +1104,3 @@ class ShardPool:
             f"d={self.d}, round_trips={self.round_trips}, "
             f"respawns={self.respawns}{degraded})"
         )
-
-
-def _shutdown_executor(owner_pid: int, executor: ProcessPoolExecutor) -> None:
-    """Finalizer of the query-split executor (PID-guarded like shards)."""
-    if os.getpid() != owner_pid:
-        return
-    executor.shutdown(wait=True, cancel_futures=True)
-
-
-class QuerySplitPool:
-    """Persistent executor for the ``shard="queries"`` fallback.
-
-    The miner is shipped to each worker exactly once, through the
-    executor initializer, when the pool is created — not per
-    ``query_batch`` call as the old engine did. Subsequent batches only
-    ship ``(queries, excludes)`` slices. The owning miner closes the
-    pool whenever its fitted state changes (refit / ``extend``), so a
-    live pool never serves a stale miner.
-    """
-
-    def __init__(self, miner: "HOSMiner", workers: int) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        from repro.core.batch import _init_worker
-
-        self.workers = workers
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(miner,)
-        )
-        self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _shutdown_executor, os.getpid(), self._executor
-        )
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def submit(self, fn, *args):
-        if self._closed:
-            raise ConfigurationError(
-                "QuerySplitPool is closed — create a new pool (HOSMiner "
-                "spawns one automatically on the next query_batch call)"
-            )
-        return self._executor.submit(fn, *args)
-
-    def close(self) -> None:
-        """Idempotent executor shutdown."""
-        self._closed = True
-        self._finalizer()
-
-    def __enter__(self) -> "QuerySplitPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return f"QuerySplitPool({state}, workers={self.workers})"

@@ -127,10 +127,9 @@ class StreamEngine:
         self,
         targets: "np.ndarray | Sequence[int | np.ndarray]",
         workers: "int | None" = None,
-        shard: "str | None" = None,
     ) -> BatchResult:
         """A batch of searches against the current window."""
-        return self.miner.query_batch(targets, workers=workers, shard=shard)
+        return self.miner.query_batch(targets, workers=workers)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

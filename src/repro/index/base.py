@@ -211,8 +211,10 @@ def normalize_excludes(
 
 def validate_query_matrix(queries: np.ndarray, d: int) -> np.ndarray:
     """Coerce *queries* to a float64 ``(m, d)`` matrix or raise
-    :class:`~repro.core.exceptions.DataShapeError` naming both shapes."""
-    from repro.core.exceptions import DataShapeError
+    :class:`~repro.core.exceptions.DataShapeError` naming both shapes
+    (its :class:`~repro.core.exceptions.DataQualityError` subclass for
+    NaN/inf entries)."""
+    from repro.core.exceptions import DataQualityError, DataShapeError
 
     try:
         queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -224,6 +226,8 @@ def validate_query_matrix(queries: np.ndarray, d: int) -> np.ndarray:
         raise DataShapeError(
             f"expected a query matrix of shape (m, {d}), got {queries.shape}"
         )
+    if not np.isfinite(queries).all():
+        raise DataQualityError("query matrix contains non-finite values (NaN or inf)")
     return queries
 
 

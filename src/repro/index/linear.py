@@ -29,7 +29,7 @@ from repro.index.base import (
     validate_sums_request,
 )
 from repro.index.stats import IndexStats
-from repro.index.topk import TOPK_KERNELS, resolve_topk_kernel, topk_prefix
+from repro.index.topk import resolve_topk_kernel, topk_prefix
 
 __all__ = ["LinearScanIndex", "BLOCK_ROWS"]
 
@@ -56,25 +56,20 @@ class LinearScanIndex:
         contiguous for fast fancy-indexing on dimension subsets.
     metric:
         Metric instance or registry name (default ``"euclidean"``).
-    topk_kernel:
-        Post-GEMM top-k selection kernel, one of
-        :data:`repro.index.topk.TOPK_KERNELS` (default ``"auto"``).
-        Every kernel returns identical values; the knob only moves time.
+
+    The post-GEMM top-k selection kernel is picked per block dtype by
+    :func:`repro.index.topk.resolve_topk_kernel`; every kernel returns
+    identical values, so the choice only moves time.
     """
 
     def __init__(
         self,
         X: np.ndarray,
         metric: "Metric | str" = "euclidean",
-        topk_kernel: str = "auto",
     ) -> None:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
             raise DataShapeError(f"expected a non-empty (n, d) matrix, got shape {X.shape}")
-        if topk_kernel not in TOPK_KERNELS:
-            raise ConfigurationError(
-                f"topk_kernel must be one of {TOPK_KERNELS}, got {topk_kernel!r}"
-            )
         # The scanned matrix lives in a capacity-doubling buffer so that
         # insert() is amortised O(d) instead of an O(n·d) vstack per
         # call. Sliding-window expiry only bumps the _lo head offset —
@@ -86,7 +81,6 @@ class LinearScanIndex:
         self._n = X.shape[0]
         self._X = self._buf[self._lo : self._n]
         self.metric = get_metric(metric)
-        self.topk_kernel = topk_kernel
         self.stats = IndexStats()
 
     # -- KnnBackend interface ------------------------------------------------
@@ -553,7 +547,7 @@ class LinearScanIndex:
         m = M.shape[0]
         n = right.shape[1]
         itemsize = M.dtype.itemsize
-        topk = resolve_topk_kernel(self.topk_kernel, M.dtype)
+        topk = resolve_topk_kernel("auto", M.dtype)
         block = max(k, BATCH_CHUNK_BYTES // max(1, m * itemsize))
         if block >= n:
             S = M @ right
@@ -579,7 +573,7 @@ class LinearScanIndex:
         """Reduce an ``(m, n)`` component-sum block to sorted k-nearest
         distances, ``(m, k)``.
 
-        Selects each row's sorted k-prefix with the configured top-k
+        Selects each row's sorted k-prefix with the dtype's top-k
         kernel (every kernel returns identical values — see
         :mod:`repro.index.topk`) and finalizes component sums into
         distances only for those ``m·k`` entries — the L_p finalizers
@@ -588,7 +582,7 @@ class LinearScanIndex:
         place; row layout (contiguous vs strided view) cannot change the
         result, which is determined by values alone.
         """
-        prefix = topk_prefix(S, k, resolve_topk_kernel(self.topk_kernel, S.dtype))
+        prefix = topk_prefix(S, k, resolve_topk_kernel("auto", S.dtype))
         if prefix.dtype != np.float64:
             prefix = prefix.astype(np.float64)
         return self.metric.finalize_component_sums(prefix)

@@ -3,8 +3,8 @@
 After the ``M @ C.T`` product, every row of the ``(m, n)`` component-sum
 block must be reduced to its ``k`` smallest values in ascending order.
 At realistic level widths this selection — not the BLAS product — is
-where the kernel's time goes, so it sits behind its own knob with three
-interchangeable implementations that all return the *same values*
+where the kernel's time goes, so it has three interchangeable
+implementations that all return the *same values*
 (``np.sort(S, axis=1)[:, :k]``; ties are equal values, so any of them
 feeds the same OD sum):
 
@@ -24,14 +24,15 @@ feeds the same OD sum):
     selection of the float32 GEMM tier.
 ``"numba"``
     A compiled per-row selection (`@njit` insertion top-k), imported
-    lazily. When numba is absent the knob silently falls back to the
-    numpy kernels — the knob is a performance hint and every kernel is
-    value-identical, so there is nothing to fail loudly about;
-    :func:`resolve_topk_kernel` reports what actually runs.
+    lazily. When numba is absent the selection silently falls back to
+    the numpy kernels — every kernel is value-identical, so there is
+    nothing to fail loudly about; :func:`resolve_topk_kernel` reports
+    what actually runs.
 
-``"auto"`` resolves to ``"numba"`` when importable, else to the
-per-dtype defaults (``"filter"`` for float32 blocks, ``"partition"``
-for float64 — keeping the reference kernel's reduction byte-stable).
+The GEMM kernels select automatically (``"auto"``): ``"numba"`` when
+importable, else the per-dtype defaults (``"filter"`` for float32
+blocks, ``"partition"`` for float64 — keeping the reference kernel's
+reduction byte-stable).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.core.exceptions import ConfigurationError
 
 __all__ = ["TOPK_KERNELS", "resolve_topk_kernel", "topk_prefix"]
 
-#: Valid values of the ``topk_kernel`` knob.
+#: Names :func:`resolve_topk_kernel` accepts.
 TOPK_KERNELS = ("auto", "partition", "filter", "numba")
 
 #: Chunk-count bounds for the min-filter first stage: enough chunks that
@@ -101,7 +102,7 @@ def numba_available() -> bool:
 
 
 def resolve_topk_kernel(topk_kernel: str, dtype: "np.dtype | None" = None) -> str:
-    """Resolve the knob to the kernel that will actually run.
+    """Resolve a kernel name to the kernel that will actually run.
 
     ``"auto"`` prefers the compiled kernel when numba is importable and
     otherwise picks the per-dtype numpy default; an explicit

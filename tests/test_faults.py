@@ -165,7 +165,7 @@ class TestIdentityUnderFaults:
             sequential = make().query_batch(targets, workers=1)
         with fault_env("crash:shard=1:round=2"):
             with make() as miner:
-                batched = miner.query_batch(targets, workers=3, shard="rows")
+                batched = miner.query_batch(targets, workers=3)
                 assert batched.stats.worker_respawns == 1
                 assert batched.stats.retries >= 1
                 assert batched.stats.degraded_rounds == 0
@@ -173,7 +173,7 @@ class TestIdentityUnderFaults:
                 # The respawned worker keeps serving: a second batch on
                 # the same pool is identical too, with no new respawns.
                 miner.od_cache_.invalidate()
-                again = miner.query_batch(targets, workers=3, shard="rows")
+                again = miner.query_batch(targets, workers=3)
                 assert again.stats.worker_respawns == 0
                 assert_results_identical(sequential.results, again.results)
 
@@ -195,7 +195,7 @@ class TestIdentityUnderFaults:
                 timeout_s=0.5,
                 backoff_s=0.01,
             ).fit(dataset.X) as miner:
-                batched = miner.query_batch(targets, workers=3, shard="rows")
+                batched = miner.query_batch(targets, workers=3)
         assert batched.stats.timeouts >= 1
         assert batched.stats.worker_respawns >= 1
         assert_results_identical(sequential.results, batched.results)
@@ -222,7 +222,7 @@ class TestIdentityUnderFaults:
                 timeout_s=15.0,
                 backoff_s=0.01,
             ).fit(dataset.X) as miner:
-                batched = miner.query_batch(list(range(4)), workers=2, shard="rows")
+                batched = miner.query_batch(list(range(4)), workers=2)
         assert batched.stats.worker_respawns == 1
         assert "fault recovery" in batched.summary()
         as_dict = batched.stats.as_dict()
@@ -236,7 +236,7 @@ class TestIdentityUnderFaults:
             with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
                 dataset.X
             ) as miner:
-                batched = miner.query_batch(list(range(4)), workers=2, shard="rows")
+                batched = miner.query_batch(list(range(4)), workers=2)
                 inproc = miner.query_batch(list(range(2)), workers=1)
         for stats in (batched.stats, inproc.stats):
             assert stats.worker_respawns == 0
@@ -301,7 +301,7 @@ class TestDegradation:
                 max_retries=1,
                 backoff_s=0.01,
             ).fit(dataset.X) as miner:
-                batched = miner.query_batch(targets, workers=2, shard="rows")
+                batched = miner.query_batch(targets, workers=2)
         assert batched.stats.degraded_rounds >= 1
         assert "degraded shard-round" in batched.summary()
         assert_results_identical(sequential.results, batched.results)
@@ -597,14 +597,14 @@ class TestStreamChaos:
             with self.streaming_miner(warm, threshold, **miner_overrides) as miner:
                 engine = StreamEngine(miner)
                 # Spawn the live pool before any update reaches it.
-                miner.query_batch(targets, workers=2, shard="rows")
+                miner.query_batch(targets, workers=2)
                 pool = miner._shard_pool
                 assert pool is not None
                 frame = warm
                 for rows in batches:
                     engine.push(rows)
                     frame = np.vstack([frame, rows])[-self.WINDOW :]
-                    batched = miner.query_batch(targets, workers=2, shard="rows")
+                    batched = miner.query_batch(targets, workers=2)
                     oracle = self.oracle_answers(frame, threshold, targets)
                     assert_results_identical(oracle.results, batched.results)
         return pool, miner
@@ -643,6 +643,6 @@ class TestStreamChaos:
                 for rows in batches:
                     engine.push(rows)
                     frame = np.vstack([frame, rows])[-self.WINDOW :]
-                batched = miner.query_batch(targets, workers=2, shard="rows")
+                batched = miner.query_batch(targets, workers=2)
                 oracle = self.oracle_answers(frame, threshold, targets)
                 assert_results_identical(oracle.results, batched.results)

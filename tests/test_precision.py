@@ -83,8 +83,6 @@ class TestResolvePrecision:
     def test_config_knob_validated(self):
         with pytest.raises(ConfigurationError, match="precision"):
             HOSMiner(precision="double")
-        with pytest.raises(ConfigurationError, match="topk_kernel"):
-            HOSMiner(topk_kernel="quickselect")
 
 
 class TestReverifyRtol:
@@ -224,18 +222,19 @@ class TestTopkKernels:
             resolve_topk_kernel("heap")
 
     @pytest.mark.parametrize("knob", TOPK_KERNELS)
-    def test_backend_knob_end_to_end(self, rng, knob):
+    def test_backend_knob_end_to_end(self, rng, knob, monkeypatch):
+        """The backend's GEMM sums are identical whichever selection
+        kernel its automatic resolution would pick (forced here)."""
         X = rng.normal(size=(400, 6))
         query = rng.normal(size=6)
         masks = _random_masks(rng, 6, 10)
         reference = LinearScanIndex(X).knn_distance_sums(query, 4, masks, kernel="gemm")
-        backend = LinearScanIndex(X, topk_kernel=knob)
-        got = backend.knn_distance_sums(query, 4, masks, kernel="gemm")
+        forced = resolve_topk_kernel(knob)
+        monkeypatch.setattr(
+            linear_module, "resolve_topk_kernel", lambda _name, _dtype=None: forced
+        )
+        got = LinearScanIndex(X).knn_distance_sums(query, 4, masks, kernel="gemm")
         np.testing.assert_array_equal(got, reference)
-
-    def test_backend_rejects_unknown_knob(self, rng):
-        with pytest.raises(ConfigurationError, match="topk_kernel"):
-            LinearScanIndex(rng.normal(size=(10, 2)), topk_kernel="heap")
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive_search import exhaustive_search
+from repro.core.exceptions import DataQualityError, DataShapeError
 from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator
 from repro.core.priors import PruningPriors
 from repro.core.search import DynamicSubspaceSearch
+from repro.core.stream import StreamEngine
+from repro.index.base import validate_query_matrix
 from repro.index.linear import LinearScanIndex
 from repro.index.vafile import VAFile
 
@@ -59,6 +62,58 @@ class TestDegenerateData:
         result = miner.query_row(0)
         assert result.is_outlier
         assert [s.dims for s in result.minimal] == [(0,)]
+
+
+class TestNonFiniteInput:
+    """NaN/inf cells fail loudly with a typed error on every entry
+    point, instead of calibrating a NaN/inf threshold or answering []."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @pytest.fixture
+    def X(self):
+        return np.random.default_rng(4).normal(size=(60, 4))
+
+    def test_is_a_data_shape_error(self):
+        assert issubclass(DataQualityError, DataShapeError)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_fit_rejects_non_finite_cell(self, X, bad):
+        X = X.copy()
+        X[10, 2] = bad
+        with pytest.raises(DataQualityError, match="non-finite"):
+            HOSMiner(k=3, sample_size=2).fit(X)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_insert_and_extend_reject_non_finite_rows(self, X, bad):
+        miner = HOSMiner(k=3, threshold=1.0, sample_size=0).fit(X)
+        row = np.array([[0.0, bad, 1.0, 2.0]])
+        with pytest.raises(DataQualityError):
+            miner.insert(row)
+        with pytest.raises(DataQualityError):
+            miner.extend(row)
+        with pytest.raises(DataQualityError):
+            StreamEngine(miner, window=40).push(row)
+        assert miner.backend_.size == X.shape[0]  # nothing was admitted
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_every_query_path_rejects_non_finite_points(self, X, bad):
+        miner = HOSMiner(k=3, sample_size=2).fit(X)
+        point = np.array([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(DataQualityError):
+            miner.query_point(point)
+        with pytest.raises(DataQualityError):
+            miner.query(point)
+        with pytest.raises(DataQualityError):
+            miner.query_batch(np.vstack([X[:2], point]), workers=1)
+        with pytest.raises(DataQualityError):
+            miner.query_batch([0, point], workers=1)
+        with pytest.raises(DataQualityError):
+            miner.query_batch(point, workers=1)
+        with pytest.raises(DataQualityError):
+            ODEvaluator(miner.backend_, point, 3)
+        with pytest.raises(DataQualityError):
+            validate_query_matrix(point[None, :], 4)
 
 
 class TestMetricVariations:

@@ -1,6 +1,6 @@
 """Persistent sharded scatter-gather engine: exactness, lifecycle, wire.
 
-The ``shard="rows"`` engine must be *indistinguishable* from the
+The multi-worker row-shard engine must be *indistinguishable* from the
 sequential path in its answers — element-wise identical, including exact
 OD floats — under every kernel/precision pair and any shard count. On
 top of that contract sit the runtime guarantees: the pool persists
@@ -20,14 +20,12 @@ import pytest
 from multiprocessing import shared_memory
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.filtering import minimal_masks
 from repro.core.miner import HOSMiner
-from repro.core.shard import (
-    QuerySplitPool,
-    ShardPool,
-    merge_prefixes,
-    shard_bounds,
-)
+from repro.core.od import SharedODCache
+from repro.core.shard import ShardPool, merge_prefixes, shard_bounds
 from repro.data.synthetic import make_planted_outliers
+from repro.index.linear import LinearScanIndex
 from repro.index.topk import topk_prefix
 
 
@@ -128,7 +126,7 @@ class TestShardedIdentity:
                 # Drop the previous count's primed ODs, else the next
                 # batch is a pure cache replay and never scatters.
                 sharded.od_cache_.invalidate()
-                batched = sharded.query_batch(targets, workers=workers, shard="rows")
+                batched = sharded.query_batch(targets, workers=workers)
                 assert batched.workers == workers
                 assert batched.stats.shard_round_trips > 0
                 assert batched.stats.bytes_shipped > 0
@@ -141,7 +139,7 @@ class TestShardedIdentity:
         ).fit(dataset.X) as miner:
             rows = list(range(8))
             sequential = [miner.query_row(row) for row in rows]
-            batched = miner.query_batch(rows, workers=3, shard="rows")
+            batched = miner.query_batch(rows, workers=3)
             assert_results_identical(sequential, batched.results)
 
     def test_single_query_rides_the_pool(self, dataset):
@@ -154,7 +152,7 @@ class TestShardedIdentity:
             # pre-cached by calibration, which can settle the whole
             # lattice without any scatter.
             point = dataset.X[11] * 1.05
-            single = miner.query_batch([point], workers=2, shard="rows")
+            single = miner.query_batch([point], workers=2)
             assert single.workers == 2
             assert single.stats.shard_round_trips >= 1
             assert_results_identical([miner.query_point(point)], single.results)
@@ -163,16 +161,71 @@ class TestShardedIdentity:
         with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
             dataset.X
         ) as miner:
-            miner.query_batch(list(range(4)), workers=2, shard="rows")
+            miner.query_batch(list(range(4)), workers=2)
             pool = miner._shard_pool
             assert pool is not None and not pool.closed
-            miner.query_batch(list(range(4, 8)), workers=2, shard="rows")
+            miner.query_batch(list(range(4, 8)), workers=2)
             assert miner._shard_pool is pool  # reused, not respawned
             assert pool.round_trips > 0
             # A different worker count respawns.
-            miner.query_batch(list(range(2)), workers=3, shard="rows")
+            miner.query_batch(list(range(2)), workers=3)
             assert miner._shard_pool is not pool
             assert pool.closed
+
+
+# ----------------------------------------------------------------------
+# One re-verification step behind every path
+# ----------------------------------------------------------------------
+class TestReverificationAcrossPaths:
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_planted_threshold_settles_identically(self, dataset, precision):
+        """A threshold planted exactly at a GEMM-computed OD must be
+        re-verified the same way by the sequential search, the
+        in-process batch engine and the shard pool — same answers as
+        the exact kernel, same re-verification count, and the same
+        exact kth bound recorded in the shared cache."""
+        k = 4
+        d = dataset.X.shape[1]
+        # External point: no fit-time cache entry can settle its
+        # full-space OD without a kernel call.
+        point = dataset.X[7] + 0.35
+        full = (1 << d) - 1
+        _, distances = LinearScanIndex(dataset.X).knn(point, k, tuple(range(d)))
+        # Under OD monotonicity no proper subspace reaches the full
+        # space's OD, so the full space is always evaluated.
+        threshold = float(distances.sum())
+        exact_kth = float(distances[-1])
+        key = SharedODCache.point_key(point, None)
+
+        def make(**overrides):
+            return HOSMiner(
+                k=k, threshold=threshold, sample_size=4, precision=precision,
+                **overrides,
+            ).fit(dataset.X)
+
+        reference = make(kernel="exact").query_point(point)
+        inproc = make()
+        outcome, _ = inproc.search_outcome(point)
+        batched = inproc.query_batch([point], workers=1)
+        with make() as miner:
+            sharded = miner.query_batch([point], workers=2)
+            sharded_kth = miner.od_cache_.kth_of(key, full)
+
+        assert outcome.stats.reverified >= 1
+        for result in (batched.results[0], sharded.results[0]):
+            assert result.stats.reverified == outcome.stats.reverified
+            assert [s.mask for s in result.minimal] == minimal_masks(
+                outcome.outlying_masks
+            )
+            assert result.total_outlying == len(outcome.outlying_masks)
+            assert result.minimal == reference.minimal
+            assert result.total_outlying == reference.total_outlying
+            assert result.od_values == reference.od_values  # exact floats
+        assert_results_identical(batched.results, sharded.results)
+        assert reference.od_values[reference.minimal[0]] == threshold
+        # A re-verified kth is the exact kth, stored as is on every path.
+        assert inproc.od_cache_.kth_of(key, full) == exact_kth
+        assert sharded_kth == exact_kth
 
 
 # ----------------------------------------------------------------------
@@ -232,34 +285,34 @@ class TestLifecycle:
 
     def test_miner_close_releases_and_respawns(self, dataset):
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        first = miner.query_batch(list(range(4)), workers=2, shard="rows")
+        first = miner.query_batch(list(range(4)), workers=2)
         names = miner._shard_pool.segment_names
         miner.close()
         miner.close()  # idempotent at the miner level too
         assert_no_segments(names)
         assert miner._shard_pool is None
         # The miner stays fully usable: the next batch spawns fresh.
-        second = miner.query_batch(list(range(4)), workers=2, shard="rows")
+        second = miner.query_batch(list(range(4)), workers=2)
         assert_results_identical(first.results, second.results)
         miner.close()
 
     def test_extend_closes_stale_pools(self, dataset):
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        miner.query_batch(list(range(4)), workers=2, shard="rows")
+        miner.query_batch(list(range(4)), workers=2)
         pool = miner._shard_pool
         miner.extend(dataset.X[:2] + 5.0)
         assert pool.closed and miner._shard_pool is None
         # Post-extend shard batches see the new rows (fresh shards).
         sequential = [miner.query_row(row) for row in range(4)]
-        batched = miner.query_batch(list(range(4)), workers=2, shard="rows")
+        batched = miner.query_batch(list(range(4)), workers=2)
         assert_results_identical(sequential, batched.results)
         miner.close()
 
     def test_pickled_miner_drops_pools(self, dataset):
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        miner.query_batch(list(range(2)), workers=2, shard="rows")
+        miner.query_batch(list(range(2)), workers=2)
         clone = pickle.loads(pickle.dumps(miner))
-        assert clone._shard_pool is None and clone._query_pool is None
+        assert clone._shard_pool is None
         # The original's pool is untouched by pickling.
         assert not miner._shard_pool.closed
         miner.close()
@@ -299,7 +352,7 @@ class TestWire:
         with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
             dataset.X
         ) as miner:
-            batched = miner.query_batch(list(range(6)), workers=2, shard="rows")
+            batched = miner.query_batch(list(range(6)), workers=2)
             assert batched.stats.shard_round_trips > 0
             assert batched.stats.bytes_shipped > 0
             assert "shard scatter" in batched.summary()
@@ -331,30 +384,3 @@ class TestWire:
                     queries, dims_list, 5, excludes, kernel, precision
                 )
                 np.testing.assert_array_equal(got, ref)
-
-
-# ----------------------------------------------------------------------
-# The query-split fallback: cached executor (satellite)
-# ----------------------------------------------------------------------
-class TestQuerySplitPool:
-    def test_executor_cached_across_calls(self, dataset):
-        with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
-            dataset.X
-        ) as miner:
-            sequential = [miner.query_row(row) for row in range(6)]
-            first = miner.query_batch(list(range(6)), workers=2, shard="queries")
-            pool = miner._query_pool
-            assert isinstance(pool, QuerySplitPool) and not pool.closed
-            second = miner.query_batch(list(range(6)), workers=2, shard="queries")
-            assert miner._query_pool is pool  # reused, not respawned
-            assert_results_identical(sequential, first.results)
-            assert_results_identical(sequential, second.results)
-
-    def test_use_after_close_raises(self, dataset):
-        miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        pool = QuerySplitPool(miner, 2)
-        pool.close()
-        pool.close()
-        with pytest.raises(ConfigurationError, match="closed"):
-            pool.submit(int, "3")
-        miner.close()

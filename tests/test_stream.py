@@ -419,7 +419,7 @@ class TestDifferentialIdentity:
                 frame = np.vstack([frame, rows])[-WINDOW:]
                 oracle = fitted(frame, threshold=threshold)
                 targets = list(range(0, WINDOW, WINDOW // 6))
-                got = engine.query_batch(targets, workers=2, shard="rows")
+                got = engine.query_batch(targets, workers=2)
                 assert_answers_identical(
                     got, oracle.query_batch(targets), f"workers=2 cycle {cycle}"
                 )
@@ -494,8 +494,8 @@ class TestRandomizedOpSequences:
         """A divergence report must include seed and op list."""
         import repro.core.stream as stream_mod
 
-        def broken_query_batch(self, targets, workers=None, shard=None):
-            result = HOSMiner.query_batch(self.miner, targets, workers=workers, shard=shard)
+        def broken_query_batch(self, targets, workers=None):
+            result = HOSMiner.query_batch(self.miner, targets, workers=workers)
             for r in result.results:
                 r.total_outlying += 1  # corrupt every answer
             return result
